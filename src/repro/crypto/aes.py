@@ -6,13 +6,17 @@ The RLPx transport needs exactly two AES constructions:
 * **single-block AES-ECB** (AES-256) inside the frame MAC construction,
   which encrypts the running egress/ingress MAC digest.
 
-This is a table-driven implementation of FIPS 197.  It is deliberately
-simple rather than constant-time: the threat model of a measurement
-reproduction is correctness, not side channels, and tests validate it
-against the FIPS 197 / NIST SP 800-38A vectors.
+:class:`AES` is the 32-bit T-table form of FIPS 197: a round is 16 table
+lookups on four column words, against about 200 byte operations in the
+byte-wise rounds that :class:`ReferenceAES` keeps as the test oracle.  It
+is deliberately simple rather than constant-time: the threat model of a
+measurement reproduction is correctness, not side channels, and tests
+validate it against the FIPS 197 / NIST SP 800-38A vectors.
 """
 
 from __future__ import annotations
+
+import struct
 
 from repro.errors import CryptoError
 
@@ -27,7 +31,6 @@ _SBOX = bytes.fromhex(
     "e1f8981169d98e949b1e87e9ce5528df8ca1890dbfe6426841992d0fb054bb16"
 )
 
-_INV_SBOX = bytes(256)
 _inv = bytearray(256)
 for _i, _v in enumerate(_SBOX):
     _inv[_v] = _i
@@ -58,8 +61,169 @@ for _coef in (1, 2, 3, 9, 11, 13, 14):
     _MUL[_coef] = bytes(table)
 
 
+def _rotations(column: list[int]) -> tuple[tuple[int, ...], ...]:
+    """The four byte rotations of a table of 32-bit words."""
+    return tuple(
+        tuple(((w >> 8 * n) | (w << 32 - 8 * n)) & 0xFFFFFFFF for w in column)
+        for n in range(4)
+    )
+
+
+# 32-bit T-tables: one round's SubBytes, ShiftRows and MixColumns for one
+# state byte, as the column word it contributes (FIPS 197 section 5.2.1's
+# "table lookup" form).  _TE[0][x] is the column (2s, s, s, 3s) for
+# s = S(x); _TE[n] is that word rotated right by n bytes.  _TD is the same
+# for the inverse cipher: (14s', 9s', 13s', 11s') for s' = S^-1(x).
+_TE = _rotations(
+    [
+        _MUL[2][s] << 24 | s << 16 | s << 8 | _MUL[3][s]
+        for s in _SBOX
+    ]
+)
+_TD = _rotations(
+    [
+        _MUL[14][s] << 24 | _MUL[9][s] << 16 | _MUL[13][s] << 8 | _MUL[11][s]
+        for s in _INV_SBOX
+    ]
+)
+
+
+def _sub_word(word: int) -> int:
+    return (
+        _SBOX[word >> 24] << 24
+        | _SBOX[word >> 16 & 0xFF] << 16
+        | _SBOX[word >> 8 & 0xFF] << 8
+        | _SBOX[word & 0xFF]
+    )
+
+
 class AES:
-    """The AES block cipher for a fixed key; 16-byte blocks."""
+    """The AES block cipher for a fixed key; 16-byte blocks.
+
+    Rounds run on four 32-bit column words through the T-tables, 16 table
+    lookups per round.  :class:`ReferenceAES` keeps the byte-wise FIPS 197
+    rounds as the oracle that tests hold this class to.
+    """
+
+    def __init__(self, key: bytes) -> None:
+        if len(key) not in (16, 24, 32):
+            raise CryptoError(f"AES key must be 16/24/32 bytes, got {len(key)}")
+        self.key = bytes(key)
+        self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
+        self._round_keys = self._expand_key(self.key)
+        self._inverse_keys: tuple[int, ...] | None = None
+
+    def _expand_key(self, key: bytes) -> tuple[int, ...]:
+        nk = len(key) // 4
+        words = list(struct.unpack(f">{nk}I", key))
+        for i in range(nk, 4 * (self.rounds + 1)):
+            temp = words[i - 1]
+            if i % nk == 0:
+                temp = _sub_word((temp << 8 | temp >> 24) & 0xFFFFFFFF)
+                temp ^= _RCON[i // nk - 1] << 24
+            elif nk > 6 and i % nk == 4:
+                temp = _sub_word(temp)
+            words.append(words[i - nk] ^ temp)
+        return tuple(words)
+
+    def encrypt_block(self, block: bytes) -> bytes:
+        if len(block) != 16:
+            raise CryptoError(f"AES block must be 16 bytes, got {len(block)}")
+        t0, t1, t2, t3 = _TE
+        keys = self._round_keys
+        s0, s1, s2, s3 = struct.unpack(">4I", block)
+        s0 ^= keys[0]
+        s1 ^= keys[1]
+        s2 ^= keys[2]
+        s3 ^= keys[3]
+        for k in range(4, 4 * self.rounds, 4):
+            s0, s1, s2, s3 = (
+                t0[s0 >> 24] ^ t1[s1 >> 16 & 0xFF] ^ t2[s2 >> 8 & 0xFF] ^ t3[s3 & 0xFF]
+                ^ keys[k],
+                t0[s1 >> 24] ^ t1[s2 >> 16 & 0xFF] ^ t2[s3 >> 8 & 0xFF] ^ t3[s0 & 0xFF]
+                ^ keys[k + 1],
+                t0[s2 >> 24] ^ t1[s3 >> 16 & 0xFF] ^ t2[s0 >> 8 & 0xFF] ^ t3[s1 & 0xFF]
+                ^ keys[k + 2],
+                t0[s3 >> 24] ^ t1[s0 >> 16 & 0xFF] ^ t2[s1 >> 8 & 0xFF] ^ t3[s2 & 0xFF]
+                ^ keys[k + 3],
+            )
+        k = 4 * self.rounds
+        box = _SBOX
+        return struct.pack(
+            ">4I",
+            (box[s0 >> 24] << 24 | box[s1 >> 16 & 0xFF] << 16
+             | box[s2 >> 8 & 0xFF] << 8 | box[s3 & 0xFF]) ^ keys[k],
+            (box[s1 >> 24] << 24 | box[s2 >> 16 & 0xFF] << 16
+             | box[s3 >> 8 & 0xFF] << 8 | box[s0 & 0xFF]) ^ keys[k + 1],
+            (box[s2 >> 24] << 24 | box[s3 >> 16 & 0xFF] << 16
+             | box[s0 >> 8 & 0xFF] << 8 | box[s1 & 0xFF]) ^ keys[k + 2],
+            (box[s3 >> 24] << 24 | box[s0 >> 16 & 0xFF] << 16
+             | box[s1 >> 8 & 0xFF] << 8 | box[s2 & 0xFF]) ^ keys[k + 3],
+        )
+
+    def _decryption_keys(self) -> tuple[int, ...]:
+        """Round keys of the equivalent inverse cipher (FIPS 197 section
+        5.3.5): encryption keys in reverse round order, with InvMixColumns
+        applied to every round but the first and the last."""
+        if self._inverse_keys is None:
+            t0, t1, t2, t3 = _TD
+            keys = self._round_keys
+            last = 4 * self.rounds
+            inverse = list(keys[last : last + 4])
+            for k in range(last - 4, 0, -4):
+                # _TD includes S^-1, so feeding it S(b) leaves InvMixColumns
+                inverse.extend(
+                    t0[_SBOX[w >> 24]] ^ t1[_SBOX[w >> 16 & 0xFF]]
+                    ^ t2[_SBOX[w >> 8 & 0xFF]] ^ t3[_SBOX[w & 0xFF]]
+                    for w in keys[k : k + 4]
+                )
+            inverse.extend(keys[:4])
+            self._inverse_keys = tuple(inverse)
+        return self._inverse_keys
+
+    def decrypt_block(self, block: bytes) -> bytes:
+        if len(block) != 16:
+            raise CryptoError(f"AES block must be 16 bytes, got {len(block)}")
+        t0, t1, t2, t3 = _TD
+        keys = self._decryption_keys()
+        s0, s1, s2, s3 = struct.unpack(">4I", block)
+        s0 ^= keys[0]
+        s1 ^= keys[1]
+        s2 ^= keys[2]
+        s3 ^= keys[3]
+        for k in range(4, 4 * self.rounds, 4):
+            s0, s1, s2, s3 = (
+                t0[s0 >> 24] ^ t1[s3 >> 16 & 0xFF] ^ t2[s2 >> 8 & 0xFF] ^ t3[s1 & 0xFF]
+                ^ keys[k],
+                t0[s1 >> 24] ^ t1[s0 >> 16 & 0xFF] ^ t2[s3 >> 8 & 0xFF] ^ t3[s2 & 0xFF]
+                ^ keys[k + 1],
+                t0[s2 >> 24] ^ t1[s1 >> 16 & 0xFF] ^ t2[s0 >> 8 & 0xFF] ^ t3[s3 & 0xFF]
+                ^ keys[k + 2],
+                t0[s3 >> 24] ^ t1[s2 >> 16 & 0xFF] ^ t2[s1 >> 8 & 0xFF] ^ t3[s0 & 0xFF]
+                ^ keys[k + 3],
+            )
+        k = 4 * self.rounds
+        box = _INV_SBOX
+        return struct.pack(
+            ">4I",
+            (box[s0 >> 24] << 24 | box[s3 >> 16 & 0xFF] << 16
+             | box[s2 >> 8 & 0xFF] << 8 | box[s1 & 0xFF]) ^ keys[k],
+            (box[s1 >> 24] << 24 | box[s0 >> 16 & 0xFF] << 16
+             | box[s3 >> 8 & 0xFF] << 8 | box[s2 & 0xFF]) ^ keys[k + 1],
+            (box[s2 >> 24] << 24 | box[s1 >> 16 & 0xFF] << 16
+             | box[s0 >> 8 & 0xFF] << 8 | box[s3 & 0xFF]) ^ keys[k + 2],
+            (box[s3 >> 24] << 24 | box[s2 >> 16 & 0xFF] << 16
+             | box[s1 >> 8 & 0xFF] << 8 | box[s0 & 0xFF]) ^ keys[k + 3],
+        )
+
+
+class ReferenceAES:
+    """The byte-wise FIPS 197 rounds (executable spec).
+
+    Nothing uses this at run time: it is the oracle that the equivalence
+    tests hold :class:`AES` to, the way ``ReferenceClock`` backs the
+    event wheel.
+    """
 
     def __init__(self, key: bytes) -> None:
         if len(key) not in (16, 24, 32):
@@ -180,13 +344,18 @@ class AESCTR:
 
     def process(self, data: bytes) -> bytes:
         """Encrypt or decrypt ``data``, advancing the keystream."""
-        while len(self._keystream) < len(data):
-            block = self._counter.to_bytes(16, "big")
-            self._counter = (self._counter + 1) % (1 << 128)
-            self._keystream += self._aes.encrypt_block(block)
-        out = bytes(a ^ b for a, b in zip(data, self._keystream))
-        self._keystream = self._keystream[len(data):]
-        return out
+        size = len(data)
+        if len(self._keystream) < size:
+            blocks = [self._keystream]
+            missing = size - len(self._keystream)
+            for _ in range((missing + 15) // 16):
+                blocks.append(self._aes.encrypt_block(self._counter.to_bytes(16, "big")))
+                self._counter = (self._counter + 1) % (1 << 128)
+            self._keystream = b"".join(blocks)
+        # XOR the whole message at once as one big integer
+        stream = int.from_bytes(self._keystream[:size], "big")
+        self._keystream = self._keystream[size:]
+        return (int.from_bytes(data, "big") ^ stream).to_bytes(size, "big")
 
 
 def aes_ctr(key: bytes, counter: bytes, data: bytes) -> bytes:

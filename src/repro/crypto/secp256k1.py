@@ -7,12 +7,21 @@ shared secrets via ECDH — all implemented here over plain Python integers.
 Curve: ``y^2 = x^3 + 7`` over GF(p), p = 2^256 - 2^32 - 977.
 Point arithmetic uses Jacobian projective coordinates; signing uses the
 deterministic nonce construction of RFC 6979 (HMAC-SHA256), as Geth does.
+
+Scalar multiplication takes one of two paths, both held to the plain
+double-and-add :func:`_j_multiply_reference` by the equivalence tests:
+
+* ``k*G`` (key generation, signing, the ``z*G`` term of recovery and
+  verification) by a fixed-base comb over a table built on first use;
+* ``k*Q`` for any other point (ECDH, the ``R`` and public-key terms of
+  recovery and verification) by width-5 wNAF.
 """
 
 from __future__ import annotations
 
-import hmac
+import functools
 import hashlib
+import hmac
 from typing import NamedTuple
 
 from repro.errors import InvalidPublicKey, InvalidPrivateKey, InvalidSignature
@@ -57,6 +66,7 @@ def is_on_curve(point: AffinePoint) -> bool:
 # modular inverse per addition, which dominates pure-Python cost.
 
 _Jacobian = tuple[int, int, int]
+_Affine = tuple[int, int]
 
 _J_INFINITY: _Jacobian = (0, 1, 0)
 
@@ -71,9 +81,31 @@ def _from_jacobian(point: _Jacobian) -> AffinePoint:
     x, y, z = point
     if z == 0:
         return INFINITY
-    z_inv = pow(z, P - 2, P)
+    z_inv = pow(z, -1, P)
     z_inv2 = z_inv * z_inv % P
     return AffinePoint(x * z_inv2 % P, y * z_inv2 * z_inv % P)
+
+
+def _to_affine_batch(points: list[_Jacobian]) -> list[_Affine]:
+    """Normalise finite Jacobian points with one shared inversion.
+
+    Montgomery's trick: invert the product of every Z, then peel each
+    inverse off it with two multiplications.
+    """
+    prefix = []
+    product = 1
+    for _, _, z in points:
+        prefix.append(product)
+        product = product * z % P
+    inverse = pow(product, -1, P)
+    affine: list[_Affine] = []
+    for (x, y, z), before in zip(reversed(points), reversed(prefix)):
+        z_inv = inverse * before % P
+        inverse = inverse * z % P
+        z_inv2 = z_inv * z_inv % P
+        affine.append((x * z_inv2 % P, y * z_inv2 * z_inv % P))
+    affine.reverse()
+    return affine
 
 
 def _j_double(point: _Jacobian) -> _Jacobian:
@@ -117,7 +149,34 @@ def _j_add(p: _Jacobian, q: _Jacobian) -> _Jacobian:
     return (nx, ny, nz)
 
 
-def _j_multiply(point: _Jacobian, scalar: int) -> _Jacobian:
+def _j_add_affine(p: _Jacobian, q: _Affine) -> _Jacobian:
+    """``p + q`` for a finite affine ``q`` (a mixed addition: Z2 = 1 saves
+    five of the general addition's multiplications)."""
+    x1, y1, z1 = p
+    x2, y2 = q
+    if z1 == 0:
+        return (x2, y2, 1)
+    z1z1 = z1 * z1 % P
+    h = (x2 * z1z1 - x1) % P
+    r = (y2 * z1z1 * z1 - y1) % P
+    if h == 0:
+        if r == 0:
+            return _j_double(p)
+        return _J_INFINITY
+    hh = h * h % P
+    hhh = h * hh % P
+    v = x1 * hh % P
+    nx = (r * r - hhh - 2 * v) % P
+    ny = (r * (v - nx) - y1 * hhh) % P
+    return (nx, ny, z1 * h % P)
+
+
+def _j_multiply_reference(point: _Jacobian, scalar: int) -> _Jacobian:
+    """Plain right-to-left double-and-add (executable spec).
+
+    Nothing calls this at run time: it is the oracle that the equivalence
+    tests hold :func:`_generator_multiply` and :func:`_point_multiply` to.
+    """
     scalar %= N
     if scalar == 0 or point[2] == 0:
         return _J_INFINITY
@@ -131,6 +190,101 @@ def _j_multiply(point: _Jacobian, scalar: int) -> _Jacobian:
     return result
 
 
+# --- Fixed-base comb for k*G ------------------------------------------------
+#
+# k = sum of d_i * 16^i over 64 four-bit digits, so k*G is the sum of one
+# table entry d_i * (16^i * G) per nonzero digit: at most 64 mixed
+# additions and no doubling.  For k < N no partial sum can equal or negate
+# the entry added to it, but the addition handles both cases anyway.
+
+_COMB_BITS = 4
+_COMB_DIGITS = (1 << _COMB_BITS) - 1
+
+
+@functools.cache
+def _comb_table() -> tuple[tuple[_Affine, ...], ...]:
+    """``table[i][d - 1] = d * 16^i * G`` for i in 0..63 and d in 1..15.
+
+    Built on first use (about 15 ms, 960 affine points) and kept for the
+    life of the process.
+    """
+    rows = []
+    base: _Affine = (GX, GY)
+    for _ in range(256 // _COMB_BITS):
+        multiples = [(base[0], base[1], 1)]
+        for _ in range(_COMB_DIGITS):  # 2 * base .. 16 * base
+            multiples.append(_j_add_affine(multiples[-1], base))
+        affine = _to_affine_batch(multiples)
+        rows.append(tuple(affine[:_COMB_DIGITS]))
+        base = affine[_COMB_DIGITS]
+    return tuple(rows)
+
+
+def _generator_multiply(scalar: int) -> _Jacobian:
+    """``scalar * G`` by the fixed-base comb."""
+    scalar %= N
+    result = _J_INFINITY
+    for row in _comb_table():
+        if not scalar:
+            break
+        digit = scalar & _COMB_DIGITS
+        if digit:
+            result = _j_add_affine(result, row[digit - 1])
+        scalar >>= _COMB_BITS
+    return result
+
+
+# --- wNAF for k*Q ----------------------------------------------------------
+
+_WNAF_WIDTH = 5
+_WNAF_MODULUS = 1 << _WNAF_WIDTH
+_WNAF_ODD_MULTIPLES = 1 << (_WNAF_WIDTH - 2)  # Q, 3Q, ..., 15Q
+
+
+def _wnaf(scalar: int) -> list[int]:
+    """Width-5 non-adjacent form of ``scalar >= 0``, least significant
+    digit first.  Every nonzero digit is odd, lies in -15..15 and is
+    followed by at least four zeros."""
+    digits = []
+    while scalar:
+        if scalar & 1:
+            digit = scalar & (_WNAF_MODULUS - 1)
+            if digit >= _WNAF_MODULUS >> 1:
+                digit -= _WNAF_MODULUS
+            scalar -= digit
+        else:
+            digit = 0
+        digits.append(digit)
+        scalar >>= 1
+    return digits
+
+
+def _point_multiply(point: _Affine, scalar: int) -> _Jacobian:
+    """``scalar * point`` for a finite curve point, by width-5 wNAF.
+
+    The odd multiples are normalised to affine with one batched inversion,
+    so each of the ~43 additions is a mixed one.
+    """
+    scalar %= N
+    if scalar == 0:
+        return _J_INFINITY
+    x, y = point
+    twice = _j_double((x, y, 1))
+    odd = [(x, y, 1)]
+    for _ in range(_WNAF_ODD_MULTIPLES - 1):
+        odd.append(_j_add(odd[-1], twice))
+    positive = _to_affine_batch(odd)
+    negative = [(px, P - py) for px, py in positive]
+    result = _J_INFINITY
+    for digit in reversed(_wnaf(scalar)):
+        result = _j_double(result)
+        if digit > 0:
+            result = _j_add_affine(result, positive[digit >> 1])
+        elif digit < 0:
+            result = _j_add_affine(result, negative[-digit >> 1])
+    return result
+
+
 def point_add(p: AffinePoint, q: AffinePoint) -> AffinePoint:
     """Affine point addition."""
     return _from_jacobian(_j_add(_to_jacobian(p), _to_jacobian(q)))
@@ -138,7 +292,9 @@ def point_add(p: AffinePoint, q: AffinePoint) -> AffinePoint:
 
 def point_multiply(point: AffinePoint, scalar: int) -> AffinePoint:
     """Affine scalar multiplication ``scalar * point``."""
-    return _from_jacobian(_j_multiply(_to_jacobian(point), scalar))
+    if point.is_infinity:
+        return INFINITY
+    return _from_jacobian(_point_multiply(point, scalar))
 
 
 def point_negate(point: AffinePoint) -> AffinePoint:
@@ -149,7 +305,7 @@ def point_negate(point: AffinePoint) -> AffinePoint:
 
 def generator_multiply(scalar: int) -> AffinePoint:
     """``scalar * G``."""
-    return point_multiply(GENERATOR, scalar)
+    return _from_jacobian(_generator_multiply(scalar))
 
 
 # --- Encoding -------------------------------------------------------------
@@ -216,7 +372,7 @@ class RawSignature(NamedTuple):
         r = int.from_bytes(data[:32], "big")
         s = int.from_bytes(data[32:64], "big")
         v = data[64]
-        if v >= 28:
+        if v >= 27:  # legacy Ethereum encoding: 27 + recovery id
             v -= 27
         if v not in (0, 1, 2, 3):
             raise InvalidSignature(f"invalid recovery id {data[64]}")
@@ -254,7 +410,7 @@ def sign_digest(digest: bytes, private_key: int) -> RawSignature:
     while True:
         extra = attempt.to_bytes(4, "big") if attempt else b""
         k = _rfc6979_nonce(digest, private_key, extra)
-        point = _from_jacobian(_j_multiply(_to_jacobian(GENERATOR), k))
+        point = _from_jacobian(_generator_multiply(k))
         if point.is_infinity:
             attempt += 1
             continue
@@ -262,7 +418,7 @@ def sign_digest(digest: bytes, private_key: int) -> RawSignature:
         if r == 0:
             attempt += 1
             continue
-        s = pow(k, N - 2, N) * (z + r * private_key) % N
+        s = pow(k, -1, N) * (z + r * private_key) % N
         if s == 0:
             attempt += 1
             continue
@@ -283,13 +439,11 @@ def verify_digest(digest: bytes, signature: RawSignature, public_key: AffinePoin
     if public_key.is_infinity or not is_on_curve(public_key):
         return False
     z = int.from_bytes(digest, "big")
-    w = pow(s, N - 2, N)
-    u1 = z * w % N
-    u2 = r * w % N
+    w = pow(s, -1, N)
     point = _from_jacobian(
         _j_add(
-            _j_multiply(_to_jacobian(GENERATOR), u1),
-            _j_multiply(_to_jacobian(public_key), u2),
+            _generator_multiply(z * w),
+            _point_multiply(public_key, r * w),
         )
     )
     if point.is_infinity:
@@ -314,14 +468,11 @@ def recover_digest(digest: bytes, signature: RawSignature) -> AffinePoint:
         y = solve_y(x, v & 1)
     except InvalidPublicKey as exc:
         raise InvalidSignature(str(exc)) from exc
-    point_r = AffinePoint(x, y)
     z = int.from_bytes(digest, "big")
-    r_inv = pow(r, N - 2, N)
-    # Q = r^-1 (s*R - z*G)
-    zg_x, zg_y, zg_z = _j_multiply(_to_jacobian(GENERATOR), z % N)
-    neg_zg = (zg_x, (-zg_y) % P, zg_z)
+    r_inv = pow(r, -1, N)
+    # Q = r^-1 (s*R - z*G) = (-z/r)*G + (s/r)*R
     q = _from_jacobian(
-        _j_multiply(_j_add(_j_multiply(_to_jacobian(point_r), s), neg_zg), r_inv)
+        _j_add(_generator_multiply(-z * r_inv), _point_multiply((x, y), s * r_inv))
     )
     if q.is_infinity or not is_on_curve(q):
         raise InvalidSignature("recovered point not on curve")

@@ -60,12 +60,24 @@ class FrameCodec:
 
     # -- MAC plumbing -------------------------------------------------------
 
-    def _update_mac(self, mac: Keccak256, seed: bytes) -> bytes:
-        """Geth's updateMAC: absorb AES(mac_digest[:16]) XOR seed, emit 16 bytes."""
-        digest = mac.digest()[:16]
-        encrypted = self._mac_cipher.encrypt_block(digest)
-        mac.update(bytes(a ^ b for a, b in zip(encrypted, seed[:16])))
+    def _update_mac(self, mac: Keccak256, seed: bytes, digest: bytes) -> bytes:
+        """Geth's updateMAC: absorb AES(mac_digest[:16]) XOR seed, emit 16 bytes.
+
+        ``digest`` is ``mac.digest()[:16]``, which every caller has at hand.
+        """
+        encrypted = int.from_bytes(self._mac_cipher.encrypt_block(digest), "big")
+        mac.update((encrypted ^ int.from_bytes(seed[:16], "big")).to_bytes(16, "big"))
         return mac.digest()[:16]
+
+    def _header_mac(self, mac: Keccak256, header_ciphertext: bytes) -> bytes:
+        return self._update_mac(mac, header_ciphertext, mac.digest()[:16])
+
+    def _body_mac(self, mac: Keccak256, body_ciphertext: bytes) -> bytes:
+        """Absorb the body ciphertext; its digest is both the seed and the
+        block ``_update_mac`` encrypts."""
+        mac.update(body_ciphertext)
+        seed = mac.digest()[:16]
+        return self._update_mac(mac, seed, seed)
 
     # -- writing -------------------------------------------------------------
 
@@ -77,12 +89,10 @@ class FrameCodec:
         header = len(body).to_bytes(3, "big") + HEADER_DATA
         header += b"\x00" * (HEADER_LEN - len(header))
         header_ciphertext = self._encryptor.process(header)
-        header_mac = self._update_mac(self._egress_mac, header_ciphertext)
+        header_mac = self._header_mac(self._egress_mac, header_ciphertext)
         padding = (-len(body)) % 16
         body_ciphertext = self._encryptor.process(body + b"\x00" * padding)
-        self._egress_mac.update(body_ciphertext)
-        body_mac_seed = self._egress_mac.digest()[:16]
-        body_mac = self._update_mac(self._egress_mac, body_mac_seed)
+        body_mac = self._body_mac(self._egress_mac, body_ciphertext)
         return header_ciphertext + header_mac + body_ciphertext + body_mac
 
     # -- reading ---------------------------------------------------------------
@@ -93,7 +103,7 @@ class FrameCodec:
             raise FramingError("header block must be 32 bytes")
         header_ciphertext = header_bytes[:HEADER_LEN]
         header_mac = header_bytes[HEADER_LEN:]
-        expected = self._update_mac(self._ingress_mac, header_ciphertext)
+        expected = self._header_mac(self._ingress_mac, header_ciphertext)
         if expected != header_mac:
             raise FramingError("header MAC mismatch")
         header = self._decryptor.process(header_ciphertext)
@@ -113,9 +123,7 @@ class FrameCodec:
             )
         body_ciphertext = body_bytes[:-MAC_LEN]
         body_mac = body_bytes[-MAC_LEN:]
-        self._ingress_mac.update(body_ciphertext)
-        body_mac_seed = self._ingress_mac.digest()[:16]
-        expected = self._update_mac(self._ingress_mac, body_mac_seed)
+        expected = self._body_mac(self._ingress_mac, body_ciphertext)
         if expected != body_mac:
             raise FramingError("body MAC mismatch")
         body = self._decryptor.process(body_ciphertext)[:body_size]

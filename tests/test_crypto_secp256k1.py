@@ -122,12 +122,20 @@ class TestECDSA:
         signature = key.sign(keccak256(b"x"))
         assert Signature.from_bytes(signature.to_bytes()).to_bytes() == signature.to_bytes()
 
-    def test_signature_v27_accepted(self):
+    @pytest.mark.parametrize("v", [0, 1])
+    def test_signature_v27_accepted(self, v):
         key = PrivateKey(5)
-        raw = bytearray(key.sign(keccak256(b"x")).to_bytes())
-        raw[64] += 27  # Ethereum tx-style recovery id
+        # the first message whose signature carries recovery id v
+        digest = next(
+            keccak256(bytes([i]))
+            for i in range(64)
+            if key.sign(keccak256(bytes([i]))).v == v
+        )
+        raw = bytearray(key.sign(digest).to_bytes())
+        raw[64] += 27  # Ethereum tx-style recovery id: 27 or 28
         parsed = Signature.from_bytes(bytes(raw))
-        assert parsed.recover(keccak256(b"x")) == key.public_key
+        assert parsed.v == v
+        assert parsed.recover(digest) == key.public_key
 
     def test_malformed_signature_rejected(self):
         with pytest.raises(InvalidSignature):
